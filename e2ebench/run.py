@@ -35,9 +35,8 @@ BUILD_DIR = os.path.join(ROOT, ".bench_build", "e2e")
 OUT_DIR = ".bench_out"  # relative to ROOT: keeps the daemon's socket path short
 BINARY = os.path.join(BUILD_DIR, "pdc_e2e")
 WORKLOADS = ("tpl_sweep", "apl_figure", "scale_4096", "evald_mix")
-SETUP_PROCESSES = 8  # fresh processes timing set-up, besides the main run
+SETUP_PROCESSES = 24  # fresh processes timing set-up, besides the main run
 RUN_TIMEOUT_S = 170
-SETTLE_AFTER_BUILD_S = 30  # runs right after a full compile measured slow on a shared VM
 
 
 def fail(message, code):
@@ -46,11 +45,9 @@ def fail(message, code):
 
 
 def build():
-    """Configures and builds pdc_e2e; build output goes to standard error.
-    Returns True when the binary was (re)linked."""
+    """Configures and builds pdc_e2e; build output goes to standard error."""
     if not os.path.isfile(os.path.join(ROOT, "src", "CMakeLists.txt")):
         fail("no program sources at src/: run from a full source checkout", 2)
-    before = os.path.getmtime(BINARY) if os.path.exists(BINARY) else None
     jobs = str(max(1, os.cpu_count() or 1))
     configure = ["cmake", "-S", HERE, "-B", BUILD_DIR, "-DCMAKE_BUILD_TYPE=RelWithDebInfo"]
     for attempt in range(2):
@@ -64,7 +61,6 @@ def build():
                            stdout=sys.stderr, stderr=sys.stderr)
     if built.returncode != 0:
         fail("build failed", 3)
-    return os.path.getmtime(BINARY) != before
 
 
 def source_fingerprint():
@@ -87,6 +83,16 @@ def source_fingerprint():
                 with open(path, "rb") as f:
                     digest.update(f.read())
     return commit, digest.hexdigest()[:16]
+
+
+def cpu_times():
+    """(steal, total) jiffies of all CPUs from /proc/stat, or None off Linux."""
+    try:
+        with open("/proc/stat") as f:
+            fields = [int(x) for x in f.readline().split()[1:9]]
+    except (OSError, ValueError):
+        return None
+    return fields[7], sum(fields)
 
 
 def run_binary(args, deadline):
@@ -120,23 +126,37 @@ def main():
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    if build():
-        time.sleep(SETTLE_AFTER_BUILD_S)
+    build()
     deadline = max(deadline, time.monotonic() + RUN_TIMEOUT_S)  # the build has its own budget
     commit, fingerprint = source_fingerprint()
     common = ["--workload", args.workload, "--seed", str(args.seed), "--out-dir", OUT_DIR,
               "--commit", commit]
 
+    # Set-up is timed in fresh processes, half before the measured run and
+    # half after it, so the samples see the host over the same span as the
+    # run does.
     setup_samples = []
-    if not args.trace:
-        for _ in range(SETUP_PROCESSES):
+
+    def time_setups(count):
+        for _ in range(count):
             _, got = run_binary(common + ["--mode", "setup", "--seconds", "1", "--trace", "0"],
                                 deadline)
             setup_samples.append(got["e2e"]["setup_s"]["value"])
+
+    if not args.trace:
+        time_setups(SETUP_PROCESSES // 2)
+    before = cpu_times()
     table, got = run_binary(common + ["--mode", "run", "--seconds", str(args.seconds),
                                       "--trace", str(args.trace)], deadline)
+    after = cpu_times()
+    # Time the hypervisor ran something else while this VM's CPUs wanted to
+    # run: a run with a high share measured a loaded host, not the program.
+    steal = None
+    if before and after and after[1] > before[1]:
+        steal = (after[0] - before[0]) / (after[1] - before[1])
     setup_samples.append(got["e2e"]["setup_s"]["value"])
     if not args.trace:
+        time_setups(SETUP_PROCESSES - SETUP_PROCESSES // 2)
         got["e2e"]["setup_s"]["value"] = statistics.median(setup_samples)
 
     measured = got["layer"] if args.trace else got["e2e"]
@@ -155,6 +175,7 @@ def main():
     header = dict(got["info"])
     header["commit"] = commit
     header["source_sha256"] = fingerprint
+    header["host_steal_frac"] = steal
     os.makedirs(os.path.join(ROOT, OUT_DIR), exist_ok=True)
     record = os.path.join(ROOT, OUT_DIR, f"result-{args.workload}-seed{args.seed}"
                                          f"-trace{args.trace}.json")
@@ -166,6 +187,8 @@ def main():
 
     for line in table:
         print(line)
+    if steal is not None:
+        print(f"# host CPU steal during the measured run: {100 * steal:.1f}%")
     print(f"# source_sha256 {fingerprint}; setup_s is the median of {len(setup_samples)} "
           f"set-ups; all numbers in {os.path.relpath(record, ROOT)}")
     print(json.dumps(result))

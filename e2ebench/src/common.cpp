@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <thread>
 
 #include "kernels/dispatch.hpp"
@@ -43,54 +44,49 @@ Tail tail(std::vector<double> v) {
   return t;
 }
 
-void PhaseTally::merge(const PhaseTally& o) {
-  cells += o.cells;
-  client_ns += o.client_ns;
-  request_ms.insert(request_ms.end(), o.request_ms.begin(), o.request_ms.end());
-  if (window_cells.size() < o.window_cells.size()) {
-    window_cells.resize(o.window_cells.size(), 0.0);
-    window_ns.resize(o.window_ns.size(), 0.0);
-  }
-  for (std::size_t w = 0; w < o.window_cells.size(); ++w) {
-    window_cells[w] += o.window_cells[w];
-    window_ns[w] += o.window_ns[w];
-  }
-}
-
-std::vector<double> PhaseTally::window_rates(int clients) const {
+std::vector<double> PhaseTally::window_rates() const {
   std::vector<double> out;
   for (std::size_t w = 0; w < window_cells.size(); ++w) {
-    if (window_ns[w] >= 0.5e9 * clients) {
-      out.push_back(window_cells[w] * clients / (window_ns[w] * 1e-9));
+    if (window_ns[w] >= 0.25e9) {
+      out.push_back(window_cells[w] / (window_ns[w] * 1e-9));
     }
   }
   return out;
 }
 
-ChunkedTail chunked_tail(const std::vector<double>& v) {
-  ChunkedTail out;
-  if (v.size() < 2 * kTailChunk) {
-    out.tail = tail(v);
-    out.chunks = 1;
-    return out;
+SlicedTail sliced_tail(const std::vector<double>& v, const std::vector<std::uint32_t>& window) {
+  SlicedTail out;
+  out.whole_run = tail(v);
+  out.tail = out.whole_run;
+  const std::size_t slices = v.size() / kSliceSamples;
+  if (slices < 2 || window.size() != v.size()) return out;
+  // Requests in time order (by window), cut into slices of equal count.
+  std::vector<std::size_t> order(v.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return window[a] < window[b]; });
+  std::vector<std::vector<double>> slice(slices);
+  for (std::size_t j = 0; j < order.size(); ++j) {
+    slice[j * slices / order.size()].push_back(v[order[j]]);
   }
-  std::vector<double> tails;
-  for (std::size_t i = 0; i + kTailChunk <= v.size(); i += kTailChunk) {
-    const auto first = v.begin() + static_cast<std::ptrdiff_t>(i);
-    const Tail t = tail(std::vector<double>(first, first + kTailChunk));
-    out.tail.percentile = t.percentile;
-    tails.push_back(t.value);
+  std::vector<double> values;
+  for (const auto& s : slice) {
+    const Tail t = tail(s);
+    if (values.empty() || t.samples < out.tail.samples) out.tail = t;
+    values.push_back(t.value);
   }
-  out.tail.value = median(tails);
-  out.tail.samples = kTailChunk;
-  out.chunks = tails.size();
+  out.tail.value = median(values);
+  out.slices = slices;
   return out;
 }
 
-std::string tail_note(const ChunkedTail& t) {
-  char buf[128];
-  std::snprintf(buf, sizeof buf, "p%.2f of %zu samples, median over %zu chunk(s)",
-                t.tail.percentile, t.tail.samples, t.chunks);
+std::string tail_note(const SlicedTail& t) {
+  char buf[192];
+  std::snprintf(buf, sizeof buf,
+                "median over %zu slice(s) of p%.3f of >= %zu samples; whole run: p%.3f of %zu "
+                "samples = %.4g",
+                t.slices, t.tail.percentile, t.tail.samples, t.whole_run.percentile,
+                t.whole_run.samples, t.whole_run.value);
   return buf;
 }
 

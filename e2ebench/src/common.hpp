@@ -72,17 +72,22 @@ struct Tail {
 };
 [[nodiscard]] Tail tail(std::vector<double> v);
 
-/// The tail of a long run, taken per chunk of kTailChunk consecutive
-/// requests (the p95 of each) and reported as the median over chunks, so
-/// one burst of interference moves it by one chunk, not the whole result.
-/// A run shorter than two chunks is one chunk. `samples` is the chunk size.
-inline constexpr std::size_t kTailChunk = 200;
-struct ChunkedTail {
-  Tail tail;
-  std::size_t chunks{0};
+/// The tail of a run cut into consecutive slices of equal request count:
+/// the tail of each slice, and the median over slices, so that a burst of
+/// interference from the host moves a few slices and not the result. There
+/// are as many slices as fit kSliceSamples requests each, so a slice's tail
+/// is p99 and a stall that recurs once in 100 requests still puts ten
+/// samples beyond every slice's tail. A run with fewer than
+/// 2 * kSliceSamples requests is one slice: the whole run.
+inline constexpr std::size_t kSliceSamples = 1000;
+struct SlicedTail {
+  Tail tail;  ///< median value; percentile and samples of the smallest slice
+  std::size_t slices{1};
+  Tail whole_run;  ///< the same statistic over the whole run, for the notes
 };
-[[nodiscard]] ChunkedTail chunked_tail(const std::vector<double>& v);
-[[nodiscard]] std::string tail_note(const ChunkedTail& t);
+[[nodiscard]] SlicedTail sliced_tail(const std::vector<double>& v,
+                                     const std::vector<std::uint32_t>& window);
+[[nodiscard]] std::string tail_note(const SlicedTail& t);
 
 // -- digest -----------------------------------------------------------------
 
@@ -173,12 +178,14 @@ class Phases {
 };
 
 /// Work and time accumulated by one phase of a closed loop. Time is the
-/// sum over clients of the time from one request's start to the next's;
-/// it is also kept per one-second window of the run (by request end).
+/// sum of each request's timed interval (from one request's start to the
+/// next's, or on evald_mix the client call alone); it is also kept per
+/// one-second window of the run (by request end).
 struct PhaseTally {
   double cells{0.0};
   double client_ns{0.0};
   std::vector<double> request_ms;
+  std::vector<std::uint32_t> request_window;  ///< window of each request_ms entry
   std::vector<double> window_cells, window_ns;
 
   void add(std::int64_t run_start, std::int64_t t0, std::int64_t t1, double n, double rtt_ms) {
@@ -186,6 +193,7 @@ struct PhaseTally {
     client_ns += static_cast<double>(t1 - t0);
     request_ms.push_back(rtt_ms);
     const auto w = static_cast<std::size_t>((t1 - run_start) / 1'000'000'000);
+    request_window.push_back(static_cast<std::uint32_t>(w));
     if (window_cells.size() <= w) {
       window_cells.resize(w + 1, 0.0);
       window_ns.resize(w + 1, 0.0);
@@ -193,14 +201,16 @@ struct PhaseTally {
     window_cells[w] += n;
     window_ns[w] += static_cast<double>(t1 - t0);
   }
-  void merge(const PhaseTally& o);
-  [[nodiscard]] double cells_per_s(int clients) const {
-    return client_ns > 0 ? cells * clients / (client_ns * 1e-9) : 0.0;
+  [[nodiscard]] double cells_per_s() const {
+    return client_ns > 0 ? cells / (client_ns * 1e-9) : 0.0;
   }
-  /// Rate in each window that saw at least half a second of client time.
-  [[nodiscard]] std::vector<double> window_rates(int clients) const;
+  /// Rate in each window that saw at least a quarter second of timed
+  /// requests: a traced run's untraced phase holds half of each window, and
+  /// on evald_mix only the client calls are timed.
+  [[nodiscard]] std::vector<double> window_rates() const;
   /// Median of the window rates: a burst of interference moves one window.
-  [[nodiscard]] double median_rate(int clients) const { return median(window_rates(clients)); }
+  [[nodiscard]] double median_rate() const { return median(window_rates()); }
+  [[nodiscard]] SlicedTail request_tail() const { return sliced_tail(request_ms, request_window); }
 };
 
 // -- spans ------------------------------------------------------------------

@@ -228,8 +228,8 @@ Report run_scale_4096(const Options& opts) {
            "request " + std::to_string(again) + " re-run with the event loop serial");
   if (opts.mode == Mode::Check) return rep;
 
-  const ChunkedTail tl = chunked_tail(tally[0].request_ms);
-  rep.add_e2e("cells_per_s", tally[0].median_rate(1), "1/s");
+  const SlicedTail tl = tally[0].request_tail();
+  rep.add_e2e("cells_per_s", tally[0].median_rate(), "1/s");
   rep.add_e2e("request_ms_p50", median(tally[0].request_ms), "ms");
   rep.add_e2e("request_ms_tail", tl.tail.value, "ms");
   rep.add_e2e("peak_rss_mb", peak_rss_mb(), "MB");
@@ -238,7 +238,7 @@ Report run_scale_4096(const Options& opts) {
   rep.note("requests", std::to_string(tally[0].request_ms.size()) + " untraced, " +
                            std::to_string(tally[1].request_ms.size()) + " traced");
   rep.note("request_ms_tail", tail_note(tl));
-  rep.note("window_cells_per_s", join(tally[0].window_rates(1)));
+  rep.note("window_cells_per_s", join(tally[0].window_rates()));
   for (std::size_t f = 0; f < fabric_ms.size(); ++f) {
     rep.note(std::string("run_ms_p50.") + kFabricNames[f], std::to_string(median(fabric_ms[f])));
   }
@@ -270,7 +270,7 @@ Report run_scale_4096(const Options& opts) {
   rep.add_layer("net.run_ms_p50.dragonfly", median(fabric_ms[2]), "ms");
   rep.add_layer("net.fattree_vs_flat", flat > 0 ? median(fabric_ms[1]) / flat : 0, "ratio");
   rep.add_layer("net.dragonfly_vs_flat", flat > 0 ? median(fabric_ms[2]) / flat : 0, "ratio");
-  rep.add_layer("trace.overhead_frac", tally[1].cells_per_s(1) / tally[0].cells_per_s(1) - 1.0,
+  rep.add_layer("trace.overhead_frac", tally[1].cells_per_s() / tally[0].cells_per_s() - 1.0,
                 "frac");
   finish_trace(rep, opts, log);
   return rep;

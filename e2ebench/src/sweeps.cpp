@@ -84,6 +84,7 @@ struct TracedSweeps {
   std::vector<std::vector<double>> group_ms;
   std::vector<double> group_ns;
   double wall_ns{0}, app_ns{0}, arena_grows{0}, pool_hits{0}, pool_misses{0};
+  std::vector<std::size_t> requests;  ///< request of each call, in call order
 };
 
 /// Runs request r through eval::parallel_for_index with a body that times
@@ -103,6 +104,7 @@ std::vector<std::uint64_t> traced_sweep(const SweepWorkload& w, std::size_t r, u
     tid[i] = thread_index();
   });
   const std::int64_t call1 = now_ns();
+  t.requests.push_back(r);
 
   const std::uint32_t call_id = log.next_id();
   const std::uint64_t request = spans.empty() ? 0 : spans.front().request;
@@ -251,8 +253,8 @@ Report run_sweep(const Options& opts, const SweepWorkload& w) {
   rep.note("serial_sample", std::to_string(w.sample) + " cells re-run through eval::run_cell");
   if (opts.mode == Mode::Check) return rep;
 
-  const ChunkedTail tl = chunked_tail(tally[0].request_ms);
-  rep.add_e2e("cells_per_s", tally[0].median_rate(1), "1/s");
+  const SlicedTail tl = tally[0].request_tail();
+  rep.add_e2e("cells_per_s", tally[0].median_rate(), "1/s");
   rep.add_e2e("request_ms_p50", median(tally[0].request_ms), "ms");
   rep.add_e2e("request_ms_tail", tl.tail.value, "ms");
   rep.add_e2e("peak_rss_mb", peak_rss_mb(), "MB");
@@ -261,34 +263,47 @@ Report run_sweep(const Options& opts, const SweepWorkload& w) {
   rep.note("requests", std::to_string(tally[0].request_ms.size()) + " untraced, " +
                            std::to_string(tally[1].request_ms.size()) + " traced");
   rep.note("request_ms_tail", tail_note(tl));
-  rep.note("window_cells_per_s", join(tally[0].window_rates(1)));
+  rep.note("window_cells_per_s", join(tally[0].window_rates()));
   rep.note("sweep_threads", std::to_string(pdc::eval::sweep_threads(0)));
   if (!opts.trace) return rep;
 
-  // One-thread pass over the same grids, for per-cell contention.
-  TracedSweeps one_thread;
+  // Paired pass: the grids of the traced calls again, in call order, each
+  // swept at nproc threads and then at one thread, back to back, for as
+  // many calls as fit the budget. Speed-up on small grids depends on the
+  // grid sizes, and a shared machine's speed can drift within seconds, so
+  // the two thread counts are compared on the same grids at the same time.
+  TracedSweeps paired, one_thread;
   const std::int64_t budget = deadline_after(std::max(0.5, opts.seconds * 0.1));
-  for (std::size_t r = 0; r < L && now_ns() < budget; ++r) {
-    std::vector<Span> spans;
-    const std::uint32_t root = log.next_id();
-    spans.push_back({"bench.request", now_ns(), 0, root, 0, log.next_request(), thread_index()});
-    const auto out = traced_sweep(w, r, 1, one_thread, spans, root, log);
-    if (!record(r, out)) rep.mismatch("one-thread pass differs on request " + std::to_string(r));
-    spans.front().end_ns = now_ns();
-    log.add_request(spans);
+  std::size_t compared = 0;
+  for (; compared < traced.requests.size() && now_ns() < budget; ++compared) {
+    const std::size_t r = traced.requests[compared];
+    for (const unsigned threads : {0U, 1U}) {
+      std::vector<Span> spans;
+      const std::uint32_t root = log.next_id();
+      spans.push_back({"bench.request", now_ns(), 0, root, 0, log.next_request(), thread_index()});
+      const auto out = traced_sweep(w, r, threads, threads == 1 ? one_thread : paired, spans, root,
+                                    log);
+      if (!record(r, out)) rep.mismatch("paired pass differs on request " + std::to_string(r));
+      spans.front().end_ns = now_ns();
+      log.add_request(spans);
+    }
   }
+  rep.note("paired_pass", std::to_string(compared) + " of " +
+                              std::to_string(traced.requests.size()) + " traced calls (" +
+                              std::to_string(one_thread.cell_us.size()) +
+                              " cells) at nproc and at one thread");
 
-  const double cell_p50 = median(traced.cell_us);
+  const double cell_p50 = median(paired.cell_us);
   const double cell_p50_1t = median(one_thread.cell_us);
   rep.add_layer("eval.sweep.busy_frac",
                 traced.capacity_ns > 0 ? traced.cell_ns / traced.capacity_ns : 0, "frac");
   rep.add_layer("eval.sweep.start_frac", traced.start_ns / traced.call_ns, "frac");
   rep.add_layer("eval.sweep.drain_frac", traced.drain_ns / traced.call_ns, "frac");
   rep.add_layer("eval.sweep.contention", cell_p50_1t > 0 ? cell_p50 / cell_p50_1t : 0, "ratio");
-  // Cells per second of sweep-call wall time, at nproc threads over one.
-  const double rate_nt = static_cast<double>(traced.cell_us.size()) / traced.call_ns;
-  const double rate_1t = static_cast<double>(one_thread.cell_us.size()) / one_thread.call_ns;
-  rep.add_layer("eval.sweep.speedup_vs_1t", rate_1t > 0 ? rate_nt / rate_1t : 0, "ratio");
+  // Sweep-call wall time at one thread over that at nproc threads: both
+  // swept the same cells.
+  rep.add_layer("eval.sweep.speedup_vs_1t",
+                paired.call_ns > 0 ? one_thread.call_ns / paired.call_ns : 0, "ratio");
   rep.add_layer("eval.sweep.start_us", median(traced.start_us), "us");
   rep.add_layer("eval.sweep.drain_us", median(traced.drain_us), "us");
   rep.add_layer("eval.sweep.cell_us_p50", cell_p50, "us");
@@ -312,7 +327,7 @@ Report run_sweep(const Options& opts, const SweepWorkload& w) {
   rep.add_layer("mp.transport.retransmits", check.retransmits, "count");
   rep.add_layer("fault.frames", check.frames, "count");
   rep.add_layer("fault.drops", check.drops, "count");
-  rep.add_layer("trace.overhead_frac", tally[1].cells_per_s(1) / tally[0].cells_per_s(1) - 1.0,
+  rep.add_layer("trace.overhead_frac", tally[1].cells_per_s() / tally[0].cells_per_s() - 1.0,
                 "frac");
   finish_trace(rep, opts, log);
   return rep;
@@ -320,12 +335,11 @@ Report run_sweep(const Options& opts, const SweepWorkload& w) {
 
 // -- tpl_sweep ---------------------------------------------------------------
 
-/// Seeded TPL grids of 16-256 cells over chosen platforms, tools, paper
-/// message sizes and P <= 16. The primitive cycles with the grid index, so
-/// every seed sees the same mix; every eighth grid is a Table-3-style
-/// SendRecv grid under a 2% uniform drop plan.
-std::vector<std::vector<TplCell>> tpl_grids(std::uint64_t seed) {
-  constexpr std::size_t kRequests = 2048;
+/// `count` seeded TPL grids of 16-256 cells over chosen platforms, tools,
+/// paper message sizes and P <= 16. The primitive cycles with the grid
+/// index, so every seed sees the same mix; every eighth grid is a
+/// Table-3-style SendRecv grid under a 2% uniform drop plan.
+std::vector<std::vector<TplCell>> tpl_grids(std::uint64_t seed, std::size_t count) {
   pdc::sim::Rng rng = stream(seed, 0x7E1);
   const auto& platforms = pdc::host::all_platforms();
   const auto& tools = pdc::mp::all_tools();
@@ -337,7 +351,7 @@ std::vector<std::vector<TplCell>> tpl_grids(std::uint64_t seed) {
     return mask;
   };
   std::vector<std::vector<TplCell>> grids;
-  for (std::size_t g = 0; g < kRequests; ++g) {
+  for (std::size_t g = 0; g < count; ++g) {
     const bool faulted = g % 8 == 7;
     pdc::fault::FaultPlan faults{};
     if (faulted) {
@@ -384,7 +398,14 @@ std::vector<std::vector<TplCell>> tpl_grids(std::uint64_t seed) {
 }  // namespace
 
 Report run_tpl_sweep(const Options& opts) {
-  const auto grids = tpl_grids(opts.seed);
+  constexpr std::size_t kRequests = 2048;
+  constexpr std::size_t kWarmup = 32;
+  // Set-up runs the first kWarmup grids. They are the default seed's grids
+  // for every seed: grids hold 16 to 256 cells, so seeded set-up grids
+  // would make setup_s move with the seed rather than with the program.
+  auto grids = tpl_grids(opts.seed, kRequests);
+  auto fixed = tpl_grids(kDefaultSeed, kWarmup);
+  std::move(fixed.begin(), fixed.end(), grids.begin());
   SweepWorkload w;
   w.cell_span = "cell.tpl";
   Digest inputs;
@@ -410,7 +431,7 @@ Report run_tpl_sweep(const Options& opts) {
     return to_bits(pdc::eval::tpl_cell_ms(grids[r][i]));
   };
   w.spec = [&](std::size_t r, std::size_t i) { return CellSpec::of(grids[r][i]); };
-  w.warmup = 32;
+  w.warmup = kWarmup;
   w.check = 64;
   w.sample = 64;
   w.pinned = 0x7d33ba2a16d62c4dULL;  // check-set digest for seed 1
@@ -425,13 +446,25 @@ Report run_apl_figure(const Options& opts) {
   // platforms rotate in a seeded order, a fresh permutation per rotation.
   constexpr std::size_t kRotations = 8;
   const pdc::eval::AplConfig cfg{};
-  pdc::sim::Rng rng = stream(opts.seed, 0xA91);
-  std::vector<pdc::host::PlatformId> order;
-  for (std::size_t k = 0; k < kRotations; ++k) {
-    auto perm = pdc::host::all_platforms();
-    for (std::size_t i = perm.size() - 1; i > 0; --i) std::swap(perm[i], perm[rng.uniform(0, i)]);
-    order.insert(order.end(), perm.begin(), perm.end());
-  }
+  const auto platform_order = [](std::uint64_t seed) {
+    pdc::sim::Rng rng = stream(seed, 0xA91);
+    std::vector<pdc::host::PlatformId> order;
+    for (std::size_t k = 0; k < kRotations; ++k) {
+      auto perm = pdc::host::all_platforms();
+      for (std::size_t i = perm.size() - 1; i > 0; --i) std::swap(perm[i], perm[rng.uniform(0, i)]);
+      order.insert(order.end(), perm.begin(), perm.end());
+    }
+    return order;
+  };
+  // Set-up runs the first figure. Its platform is the default seed's for
+  // every seed (swapped to the front of the first rotation): figures differ
+  // by platform in cell count and cost, which would make setup_s move with
+  // the seed rather than with the program.
+  auto order = platform_order(opts.seed);
+  const auto first_rotation_end = order.begin() + static_cast<std::ptrdiff_t>(
+                                                      pdc::host::all_platforms().size());
+  std::iter_swap(order.begin(),
+                 std::find(order.begin(), first_rotation_end, platform_order(kDefaultSeed)[0]));
   std::vector<std::vector<AppCell>> figures;
   for (const auto platform : order) {
     std::vector<AppCell> cells;

@@ -10,9 +10,7 @@
 
 #include <sys/resource.h>
 
-#include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -176,50 +174,6 @@ void BM_Broadcast(benchmark::State& state) {
   state.SetLabel(host::to_string(platform));
 }
 
-// -- intra-run thread sweep: one P=1024 cell sharded 1/2/4/8 ways ------------
-//
-// The conservative-lookahead engine's scaling signal: the same weak
-// global-sum cell, event loop sharded across PDC_SIM_THREADS worker
-// threads. `speedup_vs_serial` is events/s relative to the threads=1 row
-// of the same fabric (measured in the same process, so the baseline is
-// always the row above). Simulated results are bit-identical at every
-// thread count -- sim_ms must not move -- so the only thing this sweep is
-// allowed to change is the wall clock. Measured speedup saturates at
-// min(threads, physical cores): on a single-core runner every row reports
-// ~1.0 and the sweep degenerates to a sharding-overhead measurement.
-
-std::array<double, 3> g_serial_eps{};  // threads=1 events/s, per fabric
-
-void BM_GlobalSumSharded(benchmark::State& state) {
-  const auto platform_idx = static_cast<std::size_t>(state.range(0));
-  const auto platform = scale_platform(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  constexpr int kProcs = 1024;
-  mp::set_sim_threads(threads);
-  std::uint64_t events = 0;
-  double sim_ms = 0.0;
-  const auto wall0 = std::chrono::steady_clock::now();
-  for (auto _ : state) {
-    const auto out =
-        mp::run_spmd(platform, kProcs, ToolKind::Express, global_sum_program(256));
-    events += out.events;
-    sim_ms = out.elapsed.millis();  // identical every iteration and thread count
-  }
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
-  mp::set_sim_threads(0);
-  const double eps = wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0;
-  if (threads == 1) g_serial_eps[platform_idx] = eps;
-  state.counters["events_per_s"] =
-      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
-  state.counters["sim_threads"] = static_cast<double>(threads);
-  state.counters["speedup_vs_serial"] =
-      g_serial_eps[platform_idx] > 0.0 ? eps / g_serial_eps[platform_idx] : 0.0;
-  state.counters["sim_ms"] = sim_ms;
-  state.counters["ranks"] = static_cast<double>(kProcs);
-  state.SetLabel(host::to_string(platform));
-}
-
 // -- one APL application: Monte Carlo integration ----------------------------
 
 void BM_AppMonteCarlo(benchmark::State& state) {
@@ -260,13 +214,6 @@ BENCHMARK(BM_Broadcast)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AppMonteCarlo)
     ->Args({1, 16})->Args({1, 64})->Args({1, 256})->Args({1, 1024})->Args({1, 4096})
-    ->Unit(benchmark::kMillisecond);
-// threads=1 must precede the sharded rows of its fabric: it seeds the
-// speedup baseline.
-BENCHMARK(BM_GlobalSumSharded)
-    ->Args({0, 1})->Args({0, 2})->Args({0, 4})->Args({0, 8})
-    ->Args({1, 1})->Args({1, 2})->Args({1, 4})->Args({1, 8})
-    ->Args({2, 1})->Args({2, 2})->Args({2, 4})->Args({2, 8})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

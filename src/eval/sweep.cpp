@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 #include <thread>
 
 #include "kernels/arena.hpp"
@@ -196,19 +199,15 @@ SweepHostStats last_sweep_host_stats() { return t_last_sweep.host; }
 unsigned sweep_threads(unsigned requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("PDC_SWEEP_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
+    // Whole-string parse straight into unsigned, so "8abc" and values that
+    // do not fit (2^32 + 1) fall back instead of being half-read or wrapped.
+    const std::string_view text(env);
+    unsigned v = 0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec == std::errc{} && end == text.data() + text.size() && v > 0) return v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  unsigned fleet = hw > 0 ? hw : 1;
-  // Intra-run sharding (PDC_SIM_THREADS / mp::set_sim_threads) multiplies
-  // every cell's thread footprint, so the default fleet width cedes cores
-  // to it: fleet x intra stays <= hardware. An explicit `requested` or
-  // PDC_SWEEP_THREADS wins unconditionally -- the caller is asserting the
-  // product is what they want (e.g. few huge cells, oversubscribe fleet=1).
-  const int intra = mp::sim_threads();
-  if (intra > 1) fleet = std::max(1u, fleet / static_cast<unsigned>(intra));
-  return fleet;
+  return hw > 0 ? hw : 1;
 }
 
 void parallel_for_index(std::size_t n, unsigned threads,

@@ -25,12 +25,9 @@
 namespace pdc::eval {
 
 /// Worker threads a sweep will use: `requested` if > 0, else the
-/// PDC_SWEEP_THREADS environment variable if set, else
-/// std::thread::hardware_concurrency() (min 1) divided by the intra-run
-/// event-loop thread count (mp::sim_threads() / PDC_SIM_THREADS), so the
-/// two axes of parallelism -- many cells at once vs. many threads per cell
-/// -- share the machine instead of multiplying. Explicit settings on either
-/// axis are honoured as given.
+/// PDC_SWEEP_THREADS environment variable if it is a positive integer that
+/// fits `unsigned` (the whole string, no trailing bytes), else
+/// std::thread::hardware_concurrency() (min 1).
 [[nodiscard]] unsigned sweep_threads(unsigned requested = 0);
 
 /// Run `body(i)` for every i in [0, n) across `threads` workers (see

@@ -1,48 +1,19 @@
 #include "mp/api.hpp"
 
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
 #include "fault/faulty_network.hpp"
-#include "trace/probe.hpp"
 
 namespace pdc::mp {
 
 namespace {
 
-/// PDC_SIM_THREADS, read once per process (getenv racing a setenv in
-/// another thread is undefined; sweep workers call this concurrently).
-[[nodiscard]] int env_sim_threads() noexcept {
-  static const int value = [] {
-    const char* e = std::getenv("PDC_SIM_THREADS");
-    if (!e || *e == '\0') return 1;
-    const int v = std::atoi(e);
-    return v > 0 ? v : 1;
-  }();
-  return value;
-}
-
-thread_local int sim_threads_override = 0;  // 0: defer to the environment
-
 RunOutcome drive(sim::Simulation& simulation, Runtime& runtime, int nprocs, ToolKind tool,
                  const RankProgram& program) {
-  int want = sim_threads();
-  PDC_TRACE_BLOCK {
-    // An active capture records the serial event-dispatch stream; sharding
-    // would interleave per-thread sinks nondeterministically. Forcing one
-    // shard keeps traced streams bit-identical to the serial loop's.
-    want = 1;
-  }
-  if (want > 1) {
-    // Lookahead = the fabric's minimum cross-rank latency. Zero means the
-    // network cannot bound it (unknown topology) -- stay serial.
-    const sim::Duration horizon = runtime.cluster().network().lookahead();
-    simulation.configure_shards(want, nprocs, horizon);
-  }
   for (int r = 0; r < nprocs; ++r) {
-    simulation.spawn_on(r, program(runtime.comm(r)),
-                        std::string(to_string(tool)) + ".rank" + std::to_string(r));
+    simulation.spawn(program(runtime.comm(r)),
+                     std::string(to_string(tool)) + ".rank" + std::to_string(r));
   }
   const sim::TimePoint end = simulation.run();
   RunOutcome out{
@@ -63,11 +34,7 @@ RunOutcome drive(sim::Simulation& simulation, Runtime& runtime, int nprocs, Tool
 
 }  // namespace
 
-void set_sim_threads(int threads) noexcept { sim_threads_override = threads > 0 ? threads : 0; }
-
-int sim_threads() noexcept {
-  return sim_threads_override > 0 ? sim_threads_override : env_sim_threads();
-}
+void set_sim_threads(int /*threads*/) noexcept {}
 
 RunOutcome run_spmd_with_profile(host::PlatformId platform, int nprocs, ToolKind label,
                                  const ToolProfile& profile, const RankProgram& program) {

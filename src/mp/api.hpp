@@ -30,14 +30,10 @@ struct RunOutcome {
   sim::MailboxStats mailbox{};      ///< matching work, summed over rank mailboxes
 };
 
-/// Intra-run thread count for the run_spmd* drivers (this thread's runs):
-/// values > 1 shard the event loop across that many threads under
-/// conservative lookahead, bit-identical to serial. 0 (the default) defers
-/// to the PDC_SIM_THREADS environment variable (itself defaulting to 1).
-/// Runs with an active trace capture, a cluster whose network reports no
-/// lookahead, or fewer ranks than 2 stay serial regardless.
+/// No-op: the event loop is serial. Kept only because the end-to-end
+/// benchmark (e2ebench/src/scale.cpp) still calls it around its serial
+/// re-run check.
 void set_sim_threads(int threads) noexcept;
-[[nodiscard]] int sim_threads() noexcept;
 
 /// Build a cluster of `nprocs` nodes of `platform`, run `program` on every
 /// rank under `tool`, drive the simulation to completion and return the

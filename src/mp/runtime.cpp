@@ -93,8 +93,8 @@ sim::TimePoint Runtime::kernel_transfer(int src, int dst, std::int64_t bytes, Pa
                                         sim::PooledFunction<void(sim::TimePoint)> delivered,
                                         std::optional<net::ChunkProtocol> chunked,
                                         std::uint64_t trace_id) {
-  messages_sent_.fetch_add(1, std::memory_order_relaxed);
-  payload_bytes_.fetch_add(static_cast<std::uint64_t>(bytes), std::memory_order_relaxed);
+  ++messages_sent_;
+  payload_bytes_ += static_cast<std::uint64_t>(bytes);
   auto& simulation = sim();
   auto& src_node = node(src);
   const sim::TimePoint t1 = src_node.stack().reserve(src_node.stack_service(bytes));
@@ -102,11 +102,9 @@ sim::TimePoint Runtime::kernel_transfer(int src, int dst, std::int64_t bytes, Pa
   if (reliable_wire_) {
     // Fast path: the wire delivers every frame intact exactly once, so no
     // sequencing/checksum/ack machinery runs (and fault-free timings stay
-    // bit-identical to the pre-fault kernel). The wire hop touches shared
-    // network resources, so under sharding it runs on the hub; the arrival
-    // lands back on dst's shard (always beyond the lookahead horizon).
-    simulation.schedule_hub(t1, [this, src, dst, bytes, chunked, trace_id,
-                                 delivered = std::move(delivered)]() mutable {
+    // bit-identical to the pre-fault kernel).
+    simulation.schedule_at(t1, [this, src, dst, bytes, chunked, trace_id,
+                                delivered = std::move(delivered)]() mutable {
       const net::NodeId s = node_of(src);
       const net::NodeId d = node_of(dst);
       const sim::TimePoint arrival =
@@ -122,12 +120,11 @@ sim::TimePoint Runtime::kernel_transfer(int src, int dst, std::int64_t bytes, Pa
                      .rank = static_cast<std::int16_t>(s),
                      .peer = static_cast<std::int16_t>(d)});
       }
-      sim().schedule_on_rank(
-          node_of(dst), arrival, [this, dst, bytes, delivered = std::move(delivered)]() mutable {
-            auto& dst_node = node(dst);
-            const sim::TimePoint t2 = dst_node.stack().reserve(dst_node.stack_service(bytes));
-            sim().schedule_at(t2, [delivered = std::move(delivered), t2] { delivered(t2); });
-          });
+      sim().schedule_at(arrival, [this, dst, bytes, delivered = std::move(delivered)]() mutable {
+        auto& dst_node = node(dst);
+        const sim::TimePoint t2 = dst_node.stack().reserve(dst_node.stack_service(bytes));
+        sim().schedule_at(t2, [delivered = std::move(delivered), t2] { delivered(t2); });
+      });
     });
     return t1;
   }
@@ -152,10 +149,7 @@ sim::TimePoint Runtime::kernel_transfer(int src, int dst, std::int64_t bytes, Pa
 }
 
 void Runtime::reliable_transfer(std::shared_ptr<Flight> flight, sim::TimePoint at) {
-  // Transmission (wire fate, retransmission timers, sender-side flight
-  // state) is hub work: it reads shared network resources and the fault
-  // plan's RNG, whose draw order must match the serial run exactly.
-  sim().schedule_hub(at, [this, flight = std::move(flight)] { transmit_attempt(flight); });
+  sim().schedule_at(at, [this, flight = std::move(flight)] { transmit_attempt(flight); });
 }
 
 sim::Duration Runtime::rto(const Flight& flight) const noexcept {
@@ -218,13 +212,10 @@ void Runtime::transmit_attempt(const std::shared_ptr<Flight>& flight) {
     return;
   }
   const std::uint32_t wire_crc = d.corrupted ? (flight->crc ^ kCorruptMask) : flight->crc;
-  // Frame reception (CRC check, dedup, in-order release into dst's stack)
-  // is dst-rank work: it lands on dst's shard, beyond the lookahead horizon.
-  sim().schedule_on_rank(dst_node, d.arrival,
-                         [this, flight, wire_crc] { on_data_frame(flight, wire_crc); });
+  sim().schedule_at(d.arrival, [this, flight, wire_crc] { on_data_frame(flight, wire_crc); });
   if (d.duplicated) {
-    sim().schedule_on_rank(dst_node, d.dup_arrival,
-                           [this, flight, wire_crc] { on_data_frame(flight, wire_crc); });
+    sim().schedule_at(d.dup_arrival,
+                      [this, flight, wire_crc] { on_data_frame(flight, wire_crc); });
   }
   if (d.corrupted) {
     // The receiver will reject both copies on CRC and stay silent.
@@ -279,9 +270,7 @@ void Runtime::on_data_frame(const std::shared_ptr<Flight>& flight, std::uint32_t
                    .rank = static_cast<std::int16_t>(flight->dst),
                    .peer = static_cast<std::int16_t>(flight->src)});
     }
-    // The ack is hub work (reverse-path wire + sender flight state); it must
-    // be the event's last action so its pushes extend this event's block.
-    sim().schedule_hub_inline([this, flight] { send_ack(flight); });
+    send_ack(flight);
     return;
   }
   ls.rx_held.emplace(flight->seq, flight);
@@ -291,7 +280,7 @@ void Runtime::on_data_frame(const std::shared_ptr<Flight>& flight, std::uint32_t
     ++ls.rx_next;
     release_to_receiver(ready);
   }
-  sim().schedule_hub_inline([this, flight] { send_ack(flight); });
+  send_ack(flight);
 }
 
 void Runtime::release_to_receiver(const std::shared_ptr<Flight>& flight) {

@@ -16,7 +16,6 @@
 // scheduled events on the same queue, so runs stay bit-reproducible.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -178,15 +177,9 @@ class Runtime {
   /// Hand a message to rank `dst`'s mailbox at time `at`.
   void deliver_at(sim::TimePoint at, int dst, Message msg);
 
-  /// Total messages moved through the fabric (reporting / tests). Relaxed
-  /// atomics: sends on different shards bump them concurrently, and only
-  /// the totals are observable (read after run() completes).
-  [[nodiscard]] std::uint64_t messages_sent() const noexcept {
-    return messages_sent_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t payload_bytes_sent() const noexcept {
-    return payload_bytes_.load(std::memory_order_relaxed);
-  }
+  /// Total messages moved through the fabric (reporting / tests).
+  [[nodiscard]] std::uint64_t messages_sent() const noexcept { return messages_sent_; }
+  [[nodiscard]] std::uint64_t payload_bytes_sent() const noexcept { return payload_bytes_; }
 
   /// false iff the cluster network injects faults (cached at construction;
   /// wrap the network *before* building the Runtime).
@@ -208,12 +201,9 @@ class Runtime {
 
   /// Directed-link transport state, created on first use; O(active links),
   /// not O(P^2) (the seed's n*n vector cost ~1 GB at P=4096 before a single
-  /// message moved). Split by owning side so the sharded loop never shares
-  /// it across threads: the sender's sequence counter lives with src (bumped
-  /// in kernel_transfer, on src's shard), the receive cursor + reorder
-  /// buffer live with dst (touched in on_data_frame, on dst's shard). The
-  /// outer per-rank slot tables are pre-sized, so concurrent first touches
-  /// of different ranks never reallocate shared state.
+  /// message moved). Split by owning side: the sender's sequence counter
+  /// lives with src (bumped in kernel_transfer), the receive cursor +
+  /// reorder buffer live with dst (touched in on_data_frame).
   [[nodiscard]] std::uint64_t& tx_seq(int src, int dst) {
     auto& slot = tx_links_.at(static_cast<std::size_t>(src));
     if (!slot) slot = std::make_unique<std::unordered_map<int, std::uint64_t>>();
@@ -254,12 +244,10 @@ class Runtime {
   std::vector<std::unique_ptr<Communicator>> comms_;
   std::vector<std::unique_ptr<std::unordered_map<int, std::uint64_t>>> tx_links_;  // [src] -> dst
   std::vector<std::unique_ptr<std::unordered_map<int, RxLink>>> rx_links_;         // [dst] -> src
-  std::vector<TransportStats> transport_;  // per rank; sender fields written on
-                                           // the hub, receiver fields on the
-                                           // rank's shard (phase/merge disjoint)
-  std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> payload_bytes_{0};
-  std::uint64_t trace_msg_seq_{0};  // capture-only, and captures force serial
+  std::vector<TransportStats> transport_;  // per rank
+  std::uint64_t messages_sent_{0};
+  std::uint64_t payload_bytes_{0};
+  std::uint64_t trace_msg_seq_{0};  // capture-only
 
   friend class Communicator;
 };

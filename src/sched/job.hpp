@@ -62,8 +62,8 @@ struct Policy {
   /// a stream of high-base-priority arrivals.
   std::int64_t aging_per_sec{0};
   /// Simulated cost of launching a placed job (fork/exec, tool start-up).
-  /// The effective start delay is max(launch_overhead, network lookahead)
-  /// so serial and sharded runs launch at identical instants.
+  /// The effective start delay is max(launch_overhead, network lookahead);
+  /// the lookahead floor is part of every pinned schedule.
   sim::Duration launch_overhead{sim::microseconds(50)};
 };
 

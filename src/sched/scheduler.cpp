@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "fault/faulty_network.hpp"
-#include "mp/api.hpp"
 #include "mp/communicator.hpp"
 #include "mp/profile.hpp"
 #include "trace/probe.hpp"
@@ -51,7 +50,7 @@ void Scheduler::submit(JobSpec spec) {
   job->spec = std::move(spec);
   jobs_.push_back(std::move(job));
   const std::size_t idx = jobs_.size() - 1;
-  sim_.schedule_hub(jobs_.back()->spec.submit, sim::Event{[this, idx] { on_arrival(idx); }});
+  sim_.schedule_at(jobs_.back()->spec.submit, sim::Event{[this, idx] { on_arrival(idx); }});
 }
 
 void Scheduler::on_arrival(std::size_t index) {
@@ -88,9 +87,8 @@ sim::Duration Scheduler::reservation_width(const Job& job) const noexcept {
 }
 
 sim::TimePoint Scheduler::start_time_from(sim::TimePoint now) const noexcept {
-  // Launch overhead, floored at the fabric lookahead: in a sharded run the
-  // spawn must land beyond the open window, and using the same floor in
-  // serial runs keeps start instants identical across PDC_SIM_THREADS.
+  // Launch overhead, floored at the fabric lookahead. The floor is part of
+  // the pinned schedules (every golden start instant includes it).
   const sim::Duration d = policy_.launch_overhead > lookahead_ ? policy_.launch_overhead
                                                                : lookahead_;
   return now + d;
@@ -240,18 +238,14 @@ void Scheduler::launch(Job& job, int base) {
                  .tag = job.spec.id});
   }
   for (int r = 0; r < job.spec.ranks; ++r) {
-    sim_.spawn_on_at(base + r, start, job_rank(job, r),
-                     "sched.job" + std::to_string(job.spec.id) + ".rank" + std::to_string(r));
+    sim_.spawn_at(start, job_rank(job, r),
+                  "sched.job" + std::to_string(job.spec.id) + ".rank" + std::to_string(r));
   }
 }
 
 sim::Task<void> Scheduler::job_rank(Job& job, int rank) {
   co_await job.spec.program(job.runtime->comm(rank));
-  // Completion bookkeeping belongs to the hub domain (it mutates scheduler
-  // state and may launch onto other shards). hub_inline runs it at this
-  // event's exact position in the global order -- and must stay the last
-  // push this coroutine makes.
-  sim_.schedule_hub_inline(sim::Event{[this, j = &job] { rank_finished(*j); }});
+  rank_finished(job);
 }
 
 void Scheduler::rank_finished(Job& job) {
@@ -355,15 +349,6 @@ ScheduleOutcome run_schedule(const ScheduleConfig& config, std::vector<JobSpec> 
         std::make_unique<fault::FaultyNetwork>(simulation, cluster.take_network(), config.faults);
     wire = faulty.get();
     cluster.install_network(std::move(faulty));
-  }
-
-  int want = mp::sim_threads();
-  PDC_TRACE_BLOCK {
-    // Captured streams record the serial order; keep them bit-identical.
-    want = 1;
-  }
-  if (want > 1) {
-    simulation.configure_shards(want, config.nodes, cluster.network().lookahead());
   }
 
   Scheduler scheduler(simulation, cluster, config.policy);

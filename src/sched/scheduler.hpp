@@ -1,10 +1,9 @@
 // pdceval -- deterministic multi-tenant cluster scheduler.
 //
-// The Scheduler is a hub-domain actor layered on the simulation kernel: job
-// arrivals are hub events, placement decisions happen on the (serially
-// replayed) hub, and per-rank completion notifications ride
-// schedule_hub_inline so scheduler state mutates at the exact position the
-// serial loop would -- schedules are bit-identical across PDC_SIM_THREADS.
+// The Scheduler is an actor layered on the simulation kernel: job arrivals
+// are events, placement decisions run inside them, and each rank reports
+// its completion inline as its program returns -- so every schedule is a
+// deterministic function of the job stream.
 //
 // Placement model: every job gets a *contiguous* slice [base, base+ranks)
 // of the cluster's nodes (a mp::NodeRange), so a node hosts at most one job
@@ -58,7 +57,7 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Register a job; its arrival is scheduled as a hub event at
+  /// Register a job; its arrival is scheduled as an event at
   /// `spec.submit`. Call before Simulation::run(), in (submit, id) order so
   /// same-instant arrivals enqueue deterministically.
   void submit(JobSpec spec);
@@ -115,7 +114,7 @@ class Scheduler {
   sim::Simulation& sim_;
   host::Cluster& cluster_;
   Policy policy_;
-  sim::Duration lookahead_{};  ///< cached: the fabric's cross-rank latency floor
+  sim::Duration lookahead_{};  ///< cached: floors the launch delay (see Policy)
   int grain_{1};               ///< topology alignment grain (pod / group size)
   std::vector<std::unique_ptr<Job>> jobs_;  ///< submission order; stable addresses
   std::vector<Job*> queue_;                 ///< arrived, not yet placed
@@ -130,9 +129,8 @@ struct ScheduleConfig {
   fault::FaultPlan faults{};  ///< disabled by default (bit-identical to fault-free)
 };
 
-/// Build a cluster, wrap its wire if `config.faults` is armed, shard the
-/// event loop when PDC_SIM_THREADS asks for it, run every job to
-/// completion and aggregate the outcome. `jobs` need not be sorted.
+/// Build a cluster, wrap its wire if `config.faults` is armed, run every
+/// job to completion and aggregate the outcome. `jobs` need not be sorted.
 [[nodiscard]] ScheduleOutcome run_schedule(const ScheduleConfig& config,
                                            std::vector<JobSpec> jobs);
 

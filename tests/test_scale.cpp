@@ -114,12 +114,6 @@ TEST(AllocsPerRank, FlatUpTo4096) {
   // must be flat, and 256 -> 4096 comfortably under 2x -- an O(P) per-rank
   // cost (eager mailboxes, per-rank link tables, allocating rank scans)
   // would show up as a ~16x blowup in either bound.
-  // Serial engine only: the gate's constants are calibrated against the
-  // single-thread allocator profile (warmed thread-local pools). The
-  // sharded loop spawns fresh worker threads per run whose pools start
-  // cold, a different (bounded, per-run-constant) profile; its memory
-  // behaviour is pinned by the mailbox-compaction and soak tests instead.
-  mp::set_sim_threads(1);
   auto allocs_per_rank_round = [](int procs) {
     std::atomic<int> failures{0};
     const auto program = checked_global_sum(procs, 64, failures);
@@ -138,7 +132,6 @@ TEST(AllocsPerRank, FlatUpTo4096) {
       << "allocs/rank/round grew 1024->4096: " << at_1024 << " -> " << at_4096;
   EXPECT_LT(at_4096, at_256 * 2.0)
       << "allocs/rank/round grew 256->4096: " << at_256 << " -> " << at_4096;
-  mp::set_sim_threads(0);  // back to the environment's choice
 }
 
 TEST(ActiveState, SparseTrafficAt4096Ranks) {

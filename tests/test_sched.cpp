@@ -5,8 +5,8 @@
 // never delays the head job, aging bounds starvation) are asserted on the
 // flat fabric with pure-delay jobs whose runtimes cannot depend on
 // placement or contention; the message-passing mixes pin determinism
-// (replay, sweep threads, sim threads, fault soak) where contention is
-// real and emergent.
+// (replay, sweep threads, fault soak) where contention is real and
+// emergent.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,13 +29,6 @@ using sched::JobStats;
 using sched::Policy;
 using sched::ScheduleConfig;
 using sched::ScheduleOutcome;
-
-/// Pin the intra-run thread count for a scope (set_sim_threads is
-/// thread-local; gtest runs every test on the main thread).
-struct SimThreadsGuard {
-  explicit SimThreadsGuard(int t) { mp::set_sim_threads(t); }
-  ~SimThreadsGuard() { mp::set_sim_threads(0); }
-};
 
 /// A job that holds its nodes for exactly `d` of simulated time and never
 /// touches the network: runtime is placement- and contention-independent,
@@ -254,20 +247,6 @@ TEST(SchedDeterminism, SweepThreadCountInvariant) {
   }
 }
 
-TEST(SchedDeterminism, SimThreadsBitIdentical) {
-  const eval::SchedCell cell = mp_cell(host::PlatformId::ClusterFatTree, 256, 3000.0, 24, 7);
-  ScheduleOutcome serial, sharded;
-  {
-    SimThreadsGuard guard(1);
-    serial = eval::run_sched_cell(cell).schedule;
-  }
-  {
-    SimThreadsGuard guard(8);
-    sharded = eval::run_sched_cell(cell).schedule;
-  }
-  expect_identical(serial, sharded);
-}
-
 // -- golden pins -------------------------------------------------------------
 
 // Three jobs on an 8-node flat crossbar, all submitted at t=0, pure delay
@@ -345,28 +324,23 @@ TEST(SchedFault, SoakDistributedEqualsSerial) {
   eval::SchedCell cell = mp_cell(host::PlatformId::ClusterFatTree, 256, 3000.0, 24, 13);
   cell.faults = fault::FaultPlan::uniform(0.05);
 
-  ScheduleOutcome serial, sharded;
-  {
-    SimThreadsGuard guard(1);
-    serial = eval::run_sched_cell(cell).schedule;
-  }
-  {
-    SimThreadsGuard guard(8);
-    sharded = eval::run_sched_cell(cell).schedule;
-  }
-  expect_identical(serial, sharded);
-  EXPECT_EQ(serial.injected.frames, sharded.injected.frames);
-  EXPECT_EQ(serial.injected.drops, sharded.injected.drops);
+  // A faulted multi-tenant run replays exactly: same schedule, same wire
+  // fate for every frame.
+  const ScheduleOutcome first = eval::run_sched_cell(cell).schedule;
+  const ScheduleOutcome replay = eval::run_sched_cell(cell).schedule;
+  expect_identical(first, replay);
+  EXPECT_EQ(first.injected.frames, replay.injected.frames);
+  EXPECT_EQ(first.injected.drops, replay.injected.drops);
 
   // The wire really injected faults and the transport really recovered.
-  EXPECT_EQ(serial.completed, 24);
-  EXPECT_GT(serial.injected.drops, 0);
-  EXPECT_GT(serial.transport.retransmits, 0);
+  EXPECT_EQ(first.completed, 24);
+  EXPECT_GT(first.injected.drops, 0);
+  EXPECT_GT(first.transport.retransmits, 0);
 
   // Per-job transport stats aggregate exactly to the schedule totals.
   mp::TransportStats sum;
-  for (const JobStats& j : serial.jobs) sum += j.transport;
-  EXPECT_EQ(sum, serial.transport);
+  for (const JobStats& j : first.jobs) sum += j.transport;
+  EXPECT_EQ(sum, first.transport);
 }
 
 // -- edge cases --------------------------------------------------------------

@@ -334,6 +334,27 @@ TEST(Simulation, EventBudgetGuardsRunaways) {
   EXPECT_THROW(sim.run(), EventBudgetExceeded);
 }
 
+TEST(ShardBudget, TripMessageAndCountMatchSerialExactly) {
+  // 16 spinning processes; the budget trips mid-run on exactly the first
+  // event past it: `budget` events ran, the next pending one is refused,
+  // and the message names the budget -- not "somewhere near the budget".
+  Simulation sim;
+  sim.set_event_budget(1000);
+  for (int r = 0; r < 16; ++r) {
+    sim.spawn([](Simulation& s) -> Task<> {
+      for (;;) co_await s.delay(microseconds(1));
+    }(sim), "spin" + std::to_string(r));
+  }
+  std::string message;
+  try {
+    (void)sim.run();
+  } catch (const EventBudgetExceeded& e) {
+    message = e.what();
+  }
+  EXPECT_EQ(message, "simulation exceeded event budget of 1000 events");
+  EXPECT_EQ(sim.events_processed(), 1000u);
+}
+
 TEST(Mailbox, FifoAndMatcherSelection) {
   Simulation sim;
   Mailbox<int> box(sim);

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +25,29 @@ using mp::ToolKind;
 TEST(Sweep, ThreadCountResolution) {
   EXPECT_EQ(sweep_threads(3), 3u);
   EXPECT_GE(sweep_threads(0), 1u);  // env var or hardware_concurrency, min 1
+
+  // PDC_SWEEP_THREADS counts only as a whole positive integer that fits
+  // `unsigned`; anything else takes the hardware default.
+  const char* saved = std::getenv("PDC_SWEEP_THREADS");
+  const std::string restore = saved ? saved : "";
+  const unsigned hw = std::thread::hardware_concurrency();
+  const unsigned fallback = hw > 0 ? hw : 1;
+  const auto with_env = [](const char* value) {
+    ::setenv("PDC_SWEEP_THREADS", value, 1);
+    return sweep_threads(0);
+  };
+  EXPECT_EQ(with_env("6"), 6u);
+  EXPECT_EQ(with_env("4294967297"), fallback);  // 2^32 + 1 does not fit
+  EXPECT_EQ(with_env("8abc"), fallback);        // trailing bytes
+  EXPECT_EQ(with_env("0"), fallback);
+  EXPECT_EQ(with_env("-3"), fallback);
+  EXPECT_EQ(with_env(""), fallback);
+  EXPECT_EQ(sweep_threads(3), 3u);  // an explicit request still wins
+  if (saved) {
+    ::setenv("PDC_SWEEP_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("PDC_SWEEP_THREADS");
+  }
 }
 
 TEST(Sweep, ParallelForCoversEveryIndexExactlyOnce) {

@@ -11,7 +11,6 @@
 
 #include "eval/sweep.hpp"
 #include "eval/trace_cell.hpp"
-#include "mp/api.hpp"
 #include "trace/analyze.hpp"
 #include "trace/export.hpp"
 
@@ -48,27 +47,6 @@ TEST(TraceCapture, TracedPingPongTimingIsBitIdenticalToUntraced) {
   EXPECT_FALSE(traced.records.empty());
   EXPECT_EQ(traced.stats.dropped, 0u);
   EXPECT_EQ(traced.stats.emitted, traced.records.size());
-}
-
-TEST(TraceCapture, StreamIsBitIdenticalUnderSimThreadRequests) {
-  // An active capture forces the event loop serial (sharding would
-  // interleave per-thread emission), so the recorded stream -- and the
-  // cell's timing -- must be exactly the same whatever intra-run thread
-  // count the caller asked for.
-  const auto cell = ping_pong_cell();
-  mp::set_sim_threads(1);
-  const auto base = eval::tpl_cell_traced(cell);
-  mp::set_sim_threads(8);
-  const auto sharded = eval::tpl_cell_traced(cell);
-  mp::set_sim_threads(0);
-  ASSERT_TRUE(base.ms.has_value());
-  ASSERT_TRUE(sharded.ms.has_value());
-  EXPECT_EQ(*base.ms, *sharded.ms);
-  ASSERT_EQ(base.records.size(), sharded.records.size());
-  EXPECT_FALSE(base.records.empty());
-  // Byte-for-byte via the exporter: every field of every record matches.
-  EXPECT_EQ(trace::export_perfetto_json(base.records),
-            trace::export_perfetto_json(sharded.records));
 }
 
 TEST(TraceCapture, PingPongBreakdownReconcilesWithMakespan) {

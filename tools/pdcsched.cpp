@@ -6,7 +6,7 @@
 //   pdcsched --platform dragonfly --nodes 128 --aging 10 --drop 0.02
 //
 // The schedule is bit-deterministic from the flags alone: the same command
-// prints the same table on every run and at every PDC_SIM_THREADS.
+// prints the same table on every run.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
